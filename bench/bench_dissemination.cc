@@ -151,8 +151,9 @@ BENCHMARK(BM_Dissemination1024_NfaIndex_Threads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// The same sweep over the frontier filter bank: per-subscription
-// filters shard trivially, so this measures pure pool scaling.
+// The same sweep over the frontier engine: each shard is a FrontierBank
+// over its share of the subscriptions, so sharding splits the shared
+// symbol buckets the way it splits nfa_index's automaton.
 void BM_Dissemination1024_Frontier_Threads(benchmark::State& state) {
   const Workload& w = SweepWorkload();
   EngineOptions options;

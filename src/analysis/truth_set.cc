@@ -16,6 +16,21 @@ TruthSet TruthSet::FromAtomicPredicate(const ExprNode* root,
   TruthSet out;
   out.root_ = root;
   out.variable_ = variable;
+  // A string-valued variable compared with a string literal by = or !=
+  // is a string comparison (XPath 1.0), decidable on the raw view.
+  if (root->kind() == ExprKind::kCompare &&
+      (root->comp_op == CompOp::kEq || root->comp_op == CompOp::kNe) &&
+      root->args().size() == 2) {
+    const ExprNode* lhs = root->args()[0].get();
+    const ExprNode* rhs = root->args()[1].get();
+    const ExprNode* literal = lhs == variable   ? rhs
+                              : rhs == variable ? lhs
+                                                : nullptr;
+    if (literal != nullptr && literal->kind() == ExprKind::kConstString) {
+      out.literal_ = &literal->string_value;
+      out.literal_negated_ = root->comp_op == CompOp::kNe;
+    }
+  }
   return out;
 }
 
@@ -88,9 +103,11 @@ Value EvalExprWithBinding(const ExprNode* expr, const ExprNode* variable,
   return Value::EmptySequence();
 }
 
-bool TruthSet::Contains(const std::string& value) const {
+bool TruthSet::Contains(std::string_view value) const {
   if (is_universal()) return true;
-  return EvalExprWithBinding(root_, variable_, Value::String(value))
+  if (literal_ != nullptr) return (value == *literal_) != literal_negated_;
+  return EvalExprWithBinding(root_, variable_,
+                             Value::String(std::string(value)))
       .EffectiveBooleanValue();
 }
 
@@ -253,6 +270,8 @@ std::vector<const ExprNode*> PathRefsUnder(const ExprNode* expr) {
 
 Result<TruthSetMap> TruthSetMap::Build(const Query& query) {
   TruthSetMap map;
+  map.by_id_.assign(query.size(), TruthSet::Universal());
+  std::vector<bool> assigned(query.size(), false);
   // For each node with a predicate, associate each predicate child with
   // the atomic predicate containing its (unique) reference.
   for (const QueryNode* node : query.AllNodes()) {
@@ -276,16 +295,17 @@ Result<TruthSetMap> TruthSetMap::Build(const Query& query) {
       const QueryNode* child = var->path_child;
       // TRUTH applies to the succession leaf of the referenced child.
       const QueryNode* leaf = child->SuccessionLeaf();
-      map.map_.emplace(leaf, TruthSet::FromAtomicPredicate(atom, var));
+      // The first predicate naming a leaf defines its truth set.
+      if (assigned[leaf->id()]) continue;
+      assigned[leaf->id()] = true;
+      map.by_id_[leaf->id()] = TruthSet::FromAtomicPredicate(atom, var);
     }
   }
   return map;
 }
 
 const TruthSet& TruthSetMap::Get(const QueryNode* node) const {
-  auto it = map_.find(node);
-  if (it == map_.end()) return universal_;
-  return it->second;
+  return node->id() < by_id_.size() ? by_id_[node->id()] : universal_;
 }
 
 bool TruthSetMap::IsValueRestricted(const QueryNode* node) const {

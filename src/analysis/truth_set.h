@@ -19,8 +19,8 @@
 /// string (EBV("") = false), which contradicts Lemma 5.10 on documents
 /// with empty elements; the paper implicitly assumes non-empty content.
 
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -46,7 +46,9 @@ class TruthSet {
   bool is_universal() const { return root_ == nullptr; }
 
   /// Exact membership: substitute `value` for the variable and evaluate.
-  bool Contains(const std::string& value) const;
+  /// The common `var = 'literal'` / `var != 'literal'` shape compares
+  /// the view directly, without building a value.
+  bool Contains(std::string_view value) const;
 
   /// Sound approximation of "alpha ∈ PREFIX(TRUTH)": kNo is definite.
   Tri PrefixOfMember(const std::string& alpha) const;
@@ -60,6 +62,10 @@ class TruthSet {
  private:
   const ExprNode* root_ = nullptr;      // nullptr = universal
   const ExprNode* variable_ = nullptr;
+  /// Set when the predicate is `variable = literal` or `!=` (either
+  /// order): the literal string, compared without evaluation.
+  const std::string* literal_ = nullptr;
+  bool literal_negated_ = false;
 };
 
 /// Evaluates an expression tree in which the kPathRef leaf `variable`
@@ -75,6 +81,9 @@ class TruthSetMap {
   /// Fails with kUnsupported if the query is not univariate-conjunctive.
   static Result<TruthSetMap> Build(const Query& query);
 
+  /// TRUTH(node) for a node of the query the map was built from (the
+  /// universal set for nodes without a predicate variable): an index
+  /// by node id, no lookup structure on the event path.
   const TruthSet& Get(const QueryNode* node) const;
 
   /// Heuristic probe for Def. 5.7 value-restriction: returns true when a
@@ -82,7 +91,7 @@ class TruthSetMap {
   bool IsValueRestricted(const QueryNode* node) const;
 
  private:
-  std::map<const QueryNode*, TruthSet> map_;
+  std::vector<TruthSet> by_id_;  ///< indexed by QueryNode::id()
   TruthSet universal_ = TruthSet::Universal();
 };
 

@@ -2,7 +2,14 @@
 #define XPSTREAM_STREAM_FRONTIER_FILTER_H_
 
 /// \file
-/// The paper's streaming filtering algorithm (Section 8, Figs. 20–21).
+/// The paper's streaming filtering algorithm (Section 8, Figs. 20–21)
+/// for one query: the single-query reference implementation. The
+/// "frontier" engine's multi-subscription matcher is FrontierBank
+/// (stream/frontier_bank.h), which must reproduce this filter's verdict,
+/// DecidedAt and table/buffer readings per slot
+/// (tests/stream_frontier_bank_test.cc). This class stays the instrument
+/// for the E2/E3 experiments, state counting (SerializeState), the
+/// Fig. 22 trace and output collection.
 ///
 /// The algorithm walks the event stream while maintaining a *frontier
 /// table* of (query node, expected level, matched) tuples and one shared

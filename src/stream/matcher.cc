@@ -51,10 +51,23 @@ Status FilterBankMatcher::Reset() {
   return Status::OK();
 }
 
-void FilterBankMatcher::HarvestDecisions(bool at_end) {
+Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
+                                            Symbol name_sym) {
+  if (event.type == EventType::kStartDocument) {
+    // Member filters reset themselves on startDocument; the harvest
+    // bookkeeping must match (direct callers may skip Reset()).
+    ResetHarvest();
+  }
+  // Each member's decision is harvested right after its call. Slots are
+  // visited in ascending order, so the sink sees one event's matches
+  // slot-ascending, as the MatchSink contract requires.
+  const bool at_end = event.type == EventType::kEndDocument;
   for (size_t slot = 0; slot < filters_.size(); ++slot) {
+    StreamFilter* filter = filters_[slot].get();
+    if (filter == nullptr) continue;
+    XPS_RETURN_IF_ERROR(filter->OnSymbolizedEvent(event, name_sym));
     if (decided_[slot] != 0) continue;
-    const size_t position = filters_[slot]->DecidedAt();
+    const size_t position = filter->DecidedAt();
     if (position == kNoEventOrdinal) continue;
     decided_[slot] = 1;
     ++decided_count_;
@@ -64,25 +77,9 @@ void FilterBankMatcher::HarvestDecisions(bool at_end) {
     if (!at_end) {
       sink_->OnSlotMatched(slot, position);
     } else {
-      auto verdict = filters_[slot]->Matched();
+      auto verdict = filter->Matched();
       if (verdict.ok() && *verdict) sink_->OnSlotMatched(slot, position);
     }
-  }
-}
-
-Status FilterBankMatcher::OnSymbolizedEvent(const Event& event,
-                                            Symbol name_sym) {
-  if (event.type == EventType::kStartDocument) {
-    // Member filters reset themselves on startDocument; the harvest
-    // bookkeeping must match (direct callers may skip Reset()).
-    ResetHarvest();
-  }
-  for (auto& filter : filters_) {
-    if (filter == nullptr) continue;
-    XPS_RETURN_IF_ERROR(filter->OnSymbolizedEvent(event, name_sym));
-  }
-  if (decided_count_ != filters_.size()) {
-    HarvestDecisions(event.type == EventType::kEndDocument);
   }
   return Status::OK();
 }

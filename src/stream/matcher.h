@@ -8,12 +8,23 @@
 /// slots, the document arrives as SAX events, and after endDocument the
 /// matcher reports one verdict per slot plus uniform MemoryStats.
 ///
-/// Two families implement the interface:
+/// Three shapes implement the interface:
 ///  * FilterBankMatcher — one StreamFilter per subscription sharing a
-///    single SAX scan (frontier / nfa / lazy_dfa / naive engines);
+///    single SAX scan (nfa / lazy_dfa / naive engines); every member is
+///    called on every event and polled for its decision right after;
+///  * FrontierBank (stream/frontier_bank.h, the frontier engine) — the
+///    paper's §8 algorithm over one flat record table shared by all
+///    subscriptions. Start tags reach only the records in their name's
+///    symbol bucket and the `*` bucket; attributes and end tags reach
+///    only the open element's frame (its expansions and attribute
+///    records); text is one append to a shared log while any capture is
+///    open; only slots an event touched are polled. table_entries and
+///    buffered_bytes sum the per-slot FrontierFilter readings, while
+///    auxiliary_bytes counts the bank's routing state (bucket entries,
+///    frame/expansion/anchor stacks, open captures);
 ///  * the shared-automaton matcher over NfaIndex (nfa_index engine),
 ///    where all subscriptions run in one automaton.
-/// Both are reached by name through the EngineRegistry.
+/// All are reached by name through the EngineRegistry.
 
 #include <functional>
 #include <memory>
@@ -196,8 +207,8 @@ using FilterFactory = std::function<Result<std::unique_ptr<StreamFilter>>(
     const Query*, SymbolTable* symbols)>;
 
 /// A bank of per-subscription StreamFilters sharing one SAX scan — the
-/// adapter that turns every single-query engine into a multi-query
-/// dissemination engine. All member filters share the bank's
+/// adapter that turns a single-query engine (nfa, lazy_dfa, naive) into
+/// a multi-query dissemination engine. All member filters share the bank's
 /// SymbolTable, so one name resolution per event serves every filter.
 class FilterBankMatcher : public Matcher {
  public:
@@ -222,11 +233,6 @@ class FilterBankMatcher : public Matcher {
   const MemoryStats& stats() const override;
 
  private:
-  /// Polls member filters for newly decided verdicts after one event
-  /// and forwards matches to the sink (slot-ascending). `at_end` marks
-  /// the endDocument event, where non-matches decide too.
-  void HarvestDecisions(bool at_end);
-
   /// Clears per-document harvest bookkeeping. Tombstoned slots start
   /// pre-decided (they can never report), so AllDecided keeps meaning
   /// "nothing left that could change".

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -487,6 +488,102 @@ TEST(ServerClientTest, SlowSubscriberShedsFramesInsteadOfStalling) {
   auto publisher_stats = (*publisher)->Stats();
   ASSERT_TRUE(publisher_stats.ok());
   EXPECT_NE(publisher_stats->find("documents_seen=300\n"), std::string::npos);
+}
+
+// Subscription changes while another connection's document is open:
+// pipelined mode serves them; serial mode refuses them (ERROR status 1)
+// until the document's DOC_END is answered, then accepts.
+TEST(ServerClientTest, SubscribeFromAnotherConnectionMidDocument) {
+  for (const size_t workers : {size_t{1}, size_t{2}}) {
+    ServerOptions options;
+    options.engine.engine = "frontier";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    auto publisher = Client::Connect("127.0.0.1", (*server)->port());
+    auto subscriber = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(publisher.ok() && subscriber.ok());
+    ASSERT_TRUE((*publisher)->Subscribe("//a").ok());
+
+    ASSERT_TRUE((*publisher)->Feed("<a><b>").ok());
+    // Requests on one connection are served in order, so the STATS ack
+    // proves the server has consumed the chunk: the document is open.
+    ASSERT_TRUE((*publisher)->Stats().ok());
+
+    auto mid = (*subscriber)->Subscribe("//b");
+    if (workers >= 2) {
+      EXPECT_TRUE(mid.ok()) << mid.status().ToString();
+    } else {
+      ASSERT_FALSE(mid.ok());
+      EXPECT_EQ(mid.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(mid.status().message().find("while a document"),
+                std::string::npos)
+          << mid.status().ToString();
+    }
+
+    ASSERT_TRUE((*publisher)->Feed("</b></a>").ok());
+    ASSERT_TRUE((*publisher)->FinishDocument().ok());
+    auto after = (*subscriber)->Subscribe("//b");
+    EXPECT_TRUE(after.ok()) << "workers=" << workers << ": "
+                            << after.status().ToString();
+  }
+}
+
+// Pushes to a peer that does not read until the end: with a small
+// kernel send buffer the session's writes are partial and resumed, so
+// frames straddle send() calls; every frame must still arrive intact
+// and in order, and none may be shed below the outbox cap.
+TEST(ServerClientTest, PushesToASlowReaderArriveIntactAndInOrder) {
+  ServerOptions options;
+  options.engine.engine = "nfa";
+  options.so_sndbuf = 4096;
+  options.outbox_frames = 1u << 16;  // no shedding: every frame counts
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok());
+
+  auto slow = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(slow.ok());
+  constexpr uint32_t kSubs = 96;
+  std::vector<uint32_t> ids;
+  for (uint32_t i = 0; i < kSubs; ++i) {
+    auto id = (*slow)->Subscribe("//x", DeliveryMode::kEarliest);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  ASSERT_TRUE(std::is_sorted(ids.begin(), ids.end()));
+
+  // ~100 KB of MATCH frames plus DOC_DONEs with 96 verdicts each, far
+  // more than the kernel buffers hold while the slow peer is not reading.
+  auto publisher = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(publisher.ok());
+  constexpr size_t kDocs = 60;
+  for (size_t d = 0; d < kDocs; ++d) {
+    ASSERT_TRUE((*publisher)->Feed("<x/>").ok());
+    ASSERT_TRUE((*publisher)->FinishDocument().ok()) << "doc " << d;
+  }
+
+  auto stats = (*slow)->Stats();  // drains every pushed frame
+  ASSERT_TRUE(stats.ok());
+  EXPECT_NE(stats->find("dropped_frames=0\n"), std::string::npos) << *stats;
+  const std::vector<ClientEvent> events = (*slow)->TakeEvents();
+  ASSERT_EQ(events.size(), kDocs * (kSubs + 1));
+  size_t at = 0;
+  for (size_t d = 0; d < kDocs; ++d) {
+    for (uint32_t i = 0; i < kSubs; ++i, ++at) {
+      const ClientEvent& event = events[at];
+      ASSERT_EQ(event.kind, ClientEvent::Kind::kMatch) << at;
+      EXPECT_EQ(event.doc, d) << at;
+      EXPECT_EQ(event.sub_id, ids[i]) << at;
+      EXPECT_EQ(event.ordinal, 1u) << at;
+    }
+    const ClientEvent& done = events[at++];
+    ASSERT_EQ(done.kind, ClientEvent::Kind::kDocDone);
+    EXPECT_EQ(done.doc, d);
+    ASSERT_EQ(done.verdicts.size(), kSubs);
+    for (uint32_t i = 0; i < kSubs; ++i) {
+      EXPECT_EQ(done.verdicts[i], std::make_pair(ids[i], true));
+    }
+  }
 }
 
 }  // namespace
