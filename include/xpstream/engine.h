@@ -25,6 +25,7 @@
 ///               boundaries taken from start/endDocument events;
 ///  * batch    — FilterEvents() for a pre-parsed document.
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -113,8 +114,10 @@ class ResultSink {
 struct EngineOptions {
   /// Registry name of the filtering algorithm — or "auto", which routes
   /// each subscription to the engine the query planner
-  /// (xpstream/planner.h) predicts cheapest for it, falling back down
-  /// the ranking when an engine rejects the query at Subscribe time.
+  /// (xpstream/planner.h) predicts cheapest for it — or, for a linear
+  /// path, to the shared nfa_index when the index's population bound
+  /// stays within its members' charges — falling back down the ranking
+  /// when an engine rejects the query at Subscribe time.
   /// "auto" is a routing policy, not a registry engine, so it does not
   /// appear in AvailableEngines().
   std::string engine = "frontier";
@@ -274,14 +277,18 @@ class Engine : public EventSink {
   Status Subscribe(std::string id, std::string_view xpath,
                    DeliveryMode mode = DeliveryMode::kAtEnd);
 
-  /// Removes the subscription `id`. O(1) on the evaluation side: when
-  /// the last subscriber of an evaluation slot leaves, the slot is
-  /// *tombstoned* — the matcher stops evaluating it, but no automaton
-  /// is rebuilt and no in-flight structure is invalidated, so removal
-  /// is safe under live traffic. Later subscription indices shift down
-  /// by one (ids keep registration order); verdicts of the last
-  /// completed document remain queryable for the survivors. Tombstoned
-  /// capacity is reclaimed only by CompactSubscriptions().
+  /// Removes the subscription `id`. When the last subscriber of an
+  /// evaluation slot leaves, the slot is *tombstoned* — the matcher
+  /// stops evaluating it, but no automaton is rebuilt and no in-flight
+  /// structure is invalidated, so removal is safe under live traffic.
+  /// Later subscription indices shift down by one (ids keep
+  /// registration order); verdicts of the last completed document
+  /// remain queryable for the survivors. Tombstoned capacity is
+  /// reclaimed only by CompactSubscriptions(). Cost: a hash lookup and
+  /// a binary search find the subscription, then one contiguous erase
+  /// per per-subscription vector shifts the later entries (a memmove
+  /// of O(live subscriptions) words, no per-entry work), plus the
+  /// engine's own tombstone (O(1) for nfa_index: one accept list).
   Status Unsubscribe(std::string_view id);
 
   /// Rebuilds the matcher without tombstoned slots — the deferred half
@@ -289,16 +296,16 @@ class Engine : public EventSink {
   /// a maintenance window between documents. Under "auto" this is also
   /// the re-routing point: every surviving slot is re-priced against
   /// the *observed* document profile (not the assumed one it may have
-  /// been admitted under) and re-routed to the now-cheapest engine, so
-  /// a compact also fires with zero tombstones when the ranking of some
-  /// slot has changed. No-op when nothing is tombstoned and no slot
+  /// been admitted under) and routed afresh, so a compact also fires
+  /// with zero tombstones when the router now places some slot on a
+  /// different engine. No-op when nothing is tombstoned and no slot
   /// would re-route. On failure the engine is unchanged (the old
   /// matcher keeps serving). This is the only operation that rebuilds
   /// the automaton; automaton_rebuilds() counts exactly these.
   Status CompactSubscriptions();
 
   /// Live logical subscriptions (fan-out entries, not eval slots).
-  size_t NumSubscriptions() const { return ids_.size(); }
+  size_t NumSubscriptions() const { return handles_.size(); }
 
   /// Distinct evaluation slots currently doing work — the dedup
   /// measure: NumSubscriptions() logical subscriptions over
@@ -312,8 +319,13 @@ class Engine : public EventSink {
   /// CompactSubscriptions() only, never by Subscribe/Unsubscribe.
   size_t automaton_rebuilds() const { return automaton_rebuilds_; }
 
+  /// Live evaluation slots evaluated by `engine` — the routed member
+  /// under "auto" (see PlanOf), every live slot for a fixed engine.
+  size_t eval_slots_on(std::string_view engine) const;
+
   /// Subscription ids in registration order — the verdict-vector order.
-  const std::vector<std::string>& subscription_ids() const { return ids_; }
+  /// Assembled on each call (O(live subscriptions)).
+  std::vector<std::string> subscription_ids() const;
 
   /// The compiled query subscribed under `id`; kNotFound when unknown.
   Result<const CompiledQuery*> SubscribedQuery(std::string_view id) const;
@@ -489,17 +501,20 @@ class Engine : public EventSink {
          const EngineSharedContext& effective,
          std::unique_ptr<Matcher> matcher);
 
-  /// True when some live slot's predicted-cheapest engine under the
-  /// current profile differs from the one evaluating it ("auto" only) —
-  /// the condition that makes a tombstone-free compact worthwhile.
-  bool NeedsReroute() const;
-
   /// Copy of the current profile, taken under profile_mutex_ when the
   /// profile is shared — planner pricing then works off a coherent
   /// snapshot even while replica threads fold document boundaries.
   DocumentProfile ProfileSnapshot() const;
 
   Status CheckSubscribable(const std::string& id) const;
+
+  /// SubIndexOf's answer for an unknown id.
+  static constexpr size_t kUnknownSub = static_cast<size_t>(-1);
+
+  /// The current index of subscription `id` in registration order (its
+  /// handle's position among the live handles, by binary search), or
+  /// kUnknownSub.
+  size_t SubIndexOf(std::string_view id) const;
 
   /// Prices one new evaluation slot for `query` against the current
   /// profile: the predicted peak bytes of the engine that will run it
@@ -572,15 +587,35 @@ class Engine : public EventSink {
   size_t tombstoned_slots_ = 0;
   size_t automaton_rebuilds_ = 0;
 
-  // --- logical subscriptions (public side), aligned by index ---
-  std::vector<std::string> ids_;
+  /// What a logical subscription keeps beyond its index: its id and,
+  /// for a duplicate subscriber, its own compiled query (null for the
+  /// slot representative, whose query lives in the slot so it outlives
+  /// any one subscriber). Stored at the subscription's handle.
+  struct SubRecord {
+    std::string id;  ///< empty once unsubscribed
+    std::unique_ptr<CompiledQuery> query;
+  };
+
+  /// Drops the records of removed subscriptions and renumbers the
+  /// survivors' handles 0..n-1, keeping their order. Run by
+  /// Unsubscribe once removed records outnumber live ones, so its O(n)
+  /// cost is amortized over as many removals.
+  void CompactHandles();
+
+  // --- logical subscriptions (public side) ---
+  // Indexed by subscription index, shifting down on Unsubscribe: the
+  // plain-old-data columns only.
   std::vector<size_t> sub_slot_;  // subscription -> its eval slot
-  /// The subscriber's own compiled query, or nullopt for the slot
-  /// representative (whose query lives in the slot so it outlives any
-  /// one subscriber).
-  std::vector<std::unique_ptr<CompiledQuery>> sub_queries_;
   std::vector<DeliveryMode> modes_;
-  std::unordered_map<std::string, size_t> id_index_;  // id -> sub index
+  /// Each subscription's handle, ascending: drawn from records_.size()
+  /// at Subscribe, so a removal renumbers nothing and a subscription's
+  /// index is its handle's position here (binary search).
+  std::vector<size_t> handles_;
+  /// Per handle; removed subscriptions leave an empty record until
+  /// CompactHandles.
+  std::vector<SubRecord> records_;
+  size_t removed_records_ = 0;
+  std::unordered_map<std::string, size_t> id_index_;  // id -> handle
 
   /// Eval slot -> subscriber indices, for sink fan-out; rebuilt lazily.
   std::vector<std::vector<size_t>> slot_subs_;

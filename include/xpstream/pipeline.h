@@ -167,6 +167,16 @@ class EnginePool {
   /// traffic — the pool quiesces, so no publisher coordination needed.
   Status Unsubscribe(std::string_view id);
 
+  /// Removes every subscription in `ids` from every replica under one
+  /// quiesce — one pause of evaluation for the whole list, where
+  /// per-id calls pause once each (a closing connection's
+  /// subscriptions). All or nothing: the ids are checked first, and an
+  /// unknown or repeated id fails the call (kNotFound /
+  /// kInvalidArgument) with the pool unchanged. Every built-in engine
+  /// accepts removals; an engine that refuses one fails the call after
+  /// removing the ids before it, alike on every replica.
+  Status Unsubscribe(const std::vector<std::string>& ids);
+
   /// Compacts every replica: reclaims tombstoned capacity and, under
   /// "auto", re-routes slots whose cheapest engine changed as the
   /// shared profile grew (Engine::CompactSubscriptions semantics).

@@ -10,16 +10,21 @@
 /// derives each one and shows worked examples against measured peaks.
 ///
 /// Two consumers: EngineOptions::engine = "auto" routes each
-/// subscription to the predicted-cheapest engine at Subscribe time, and
-/// EngineOptions::memory_budget_bytes admission-controls subscriptions
-/// whose predicted peak would overrun a tenant budget. Both use exactly
-/// the PlanQuery() ranking below, so a caller can reproduce (and audit)
-/// every decision the engine makes:
+/// subscription at Subscribe time, and EngineOptions::memory_budget_bytes
+/// admission-controls subscriptions whose predicted peak would overrun a
+/// tenant budget. Admission charges exactly the PlanQuery() choice
+/// below, so a caller can reproduce (and audit) every charge:
 ///
 ///   auto query = CompileQuery("//a/*/*/*");
 ///   DocumentProfile profile;          // or Engine::observed_profile()
 ///   QueryPlan plan = PlanQuery(*query, profile);
-///   // plan.ranking.front().engine == what "auto" would pick
+///   // plan.Choice()->cost.PredictedPeakBytes() == the admission charge
+///
+/// "auto" routes a lone subscription to that choice too; in a population
+/// it also puts a linear path on the one shared nfa_index whenever the
+/// index's population bound stays within the charges of its members
+/// (docs/cost_model.md, "the routing invariant"). Engine::PlanOf reports
+/// where each subscription landed.
 
 #include <cstddef>
 #include <string>
@@ -73,14 +78,16 @@ struct EnginePrediction {
 };
 
 /// The full per-engine ranking for one query: supported engines first,
-/// cheapest first within each group. This ordering *is* the "auto"
-/// engine's candidate order and the admission controller's price list.
+/// cheapest first within each group (exact ties: nfa_index, nfa,
+/// lazy_dfa, frontier, naive). This ordering is the "auto" engine's
+/// fallback order and the admission controller's price list.
 struct QueryPlan {
   /// All built-in engines, supported-then-cheapest first.
   std::vector<EnginePrediction> ranking;
 
-  /// The entry "auto" would subscribe on: the first supported entry,
-  /// or nullptr when no engine statically accepts the query.
+  /// The standalone choice — the first supported entry, what admission
+  /// charges and what "auto" picks for a lone subscription — or nullptr
+  /// when no engine statically accepts the query.
   const EnginePrediction* Choice() const;
 
   /// Multi-line table rendering for logs and tools.

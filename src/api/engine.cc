@@ -213,11 +213,11 @@ Status Engine::Subscribe(std::string id, CompiledQuery query,
     // matcher or symbol table.
     const size_t slot = hit->second;
     slots_[slot].refs++;
-    id_index_.emplace(id, ids_.size());
-    ids_.push_back(std::move(id));
+    id_index_.emplace(id, records_.size());
+    handles_.push_back(records_.size());
+    records_.push_back(SubRecord{
+        std::move(id), std::make_unique<CompiledQuery>(std::move(query))});
     sub_slot_.push_back(slot);
-    sub_queries_.push_back(
-        std::make_unique<CompiledQuery>(std::move(query)));
     modes_.push_back(mode);
     fanout_dirty_ = true;
     return Status::OK();
@@ -258,10 +258,11 @@ Status Engine::Subscribe(std::string id, CompiledQuery query,
                             matcher_->EngineForSlot(slot), predicted,
                             degraded});
   predicted_total_ += predicted;
-  id_index_.emplace(id, ids_.size());
-  ids_.push_back(std::move(id));
+  id_index_.emplace(id, records_.size());
+  handles_.push_back(records_.size());
+  // The representative's query lives in the slot.
+  records_.push_back(SubRecord{std::move(id), nullptr});
   sub_slot_.push_back(slot);
-  sub_queries_.push_back(nullptr);  // representative: query lives in the slot
   modes_.push_back(mode);
   fanout_dirty_ = true;
   return Status::OK();
@@ -279,11 +280,10 @@ Status Engine::Unsubscribe(std::string_view id) {
     return Status::InvalidArgument(
         "cannot unsubscribe while a document is being consumed");
   }
-  auto it = id_index_.find(std::string(id));
-  if (it == id_index_.end()) {
+  const size_t sub = SubIndexOf(id);
+  if (sub == kUnknownSub) {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
-  const size_t sub = it->second;
   const size_t slot = sub_slot_[sub];
   if (slots_[slot].refs == 1) {
     // Last subscriber of the slot: tombstone it in the matcher before
@@ -302,14 +302,17 @@ Status Engine::Unsubscribe(std::string_view id) {
   // Later subscriptions shift down one index (the documented public
   // semantics); survivors keep their last-document results because
   // those live per slot and the survivors' slot mapping is intact.
-  ids_.erase(ids_.begin() + static_cast<ptrdiff_t>(sub));
-  sub_slot_.erase(sub_slot_.begin() + static_cast<ptrdiff_t>(sub));
-  sub_queries_.erase(sub_queries_.begin() + static_cast<ptrdiff_t>(sub));
-  modes_.erase(modes_.begin() + static_cast<ptrdiff_t>(sub));
-  id_index_.erase(it);
-  for (auto& entry : id_index_) {
-    if (entry.second > sub) --entry.second;
-  }
+  // Their handles do not move, so nothing is renumbered: the shift is
+  // one memmove per plain-data column.
+  const auto at = static_cast<ptrdiff_t>(sub);
+  SubRecord& record = records_[handles_[sub]];
+  id_index_.erase(record.id);
+  record = SubRecord();  // `id` may view the record's string: used up
+  ++removed_records_;
+  handles_.erase(handles_.begin() + at);
+  sub_slot_.erase(sub_slot_.begin() + at);
+  modes_.erase(modes_.begin() + at);
+  if (removed_records_ > handles_.size()) CompactHandles();
   if (sub < subs_at_last_doc_) --subs_at_last_doc_;
   expansion_valid_ = false;
   fanout_dirty_ = true;
@@ -322,9 +325,12 @@ Status Engine::CompactSubscriptions() {
         "cannot compact while a document is being consumed");
   }
   // A compaction is worth a rebuild when there is capacity to reclaim
-  // *or* the observed profile has shifted the planner's ranking — the
-  // rebuilt AutoMatcher re-routes every slot to its now-cheapest engine.
-  if (tombstoned_slots_ == 0 && !NeedsReroute()) return Status::OK();
+  // *or*, under "auto", the router would now place some slot on another
+  // engine (the observed profile shifted a ranking or a population
+  // bound). A fixed engine with nothing tombstoned has nothing to do.
+  if (tombstoned_slots_ == 0 && options_.engine != "auto") {
+    return Status::OK();
+  }
 
   // Let the old matcher fold its shareable structure (lazy-DFA tables)
   // into the pipeline caches, so the rebuilt matcher starts warm.
@@ -350,6 +356,16 @@ Status Engine::CompactSubscriptions() {
     if (slots_[old].tombstoned) continue;
     XPS_RETURN_IF_ERROR((*fresh)->Subscribe(next, slots_[old].query.query()));
     new_of_old[old] = next++;
+  }
+  // With nothing to reclaim, the rebuild is kept only if the router —
+  // the very routing a rebuild performs — moved some slot. Otherwise
+  // the fresh matcher is dropped and the compaction is a no-op.
+  if (tombstoned_slots_ == 0) {
+    bool rerouted = false;
+    for (size_t s = 0; s < slots_.size() && !rerouted; ++s) {
+      rerouted = (*fresh)->EngineForSlot(s) != slots_[s].planned_engine;
+    }
+    if (!rerouted) return Status::OK();
   }
 
   // Commit point: renumber facade state and swap the matcher in. The
@@ -396,44 +412,63 @@ Status Engine::CompactSubscriptions() {
   return Status::OK();
 }
 
-bool Engine::NeedsReroute() const {
-  // Only the "auto" meta-engine routes per slot; a fixed engine has
-  // nothing to re-route. Pricing every live slot is the same work a
-  // Subscribe does once — acceptable for an explicit maintenance call.
-  if (options_.engine != "auto") return false;
-  const DocumentProfile profile = ProfileSnapshot();
+size_t Engine::eval_slots_on(std::string_view engine) const {
+  size_t count = 0;
   for (const EvalSlot& slot : slots_) {
-    if (slot.tombstoned) continue;
-    const QueryPlan plan = BuildQueryPlan(*slot.query.query(), profile);
-    const EnginePrediction* choice = plan.Choice();
-    if (choice != nullptr && choice->engine != slot.planned_engine) {
-      return true;
-    }
+    if (!slot.tombstoned && slot.planned_engine == engine) ++count;
   }
-  return false;
+  return count;
+}
+
+void Engine::CompactHandles() {
+  std::vector<SubRecord> live;
+  live.reserve(handles_.size());
+  for (size_t& handle : handles_) {
+    SubRecord& record = records_[handle];
+    handle = live.size();
+    id_index_[record.id] = handle;
+    live.push_back(std::move(record));
+  }
+  records_ = std::move(live);
+  removed_records_ = 0;
+}
+
+std::vector<std::string> Engine::subscription_ids() const {
+  std::vector<std::string> ids;
+  ids.reserve(handles_.size());
+  for (size_t handle : handles_) ids.push_back(records_[handle].id);
+  return ids;
+}
+
+size_t Engine::SubIndexOf(std::string_view id) const {
+  auto it = id_index_.find(std::string(id));
+  if (it == id_index_.end()) return kUnknownSub;
+  return static_cast<size_t>(
+      std::lower_bound(handles_.begin(), handles_.end(), it->second) -
+      handles_.begin());
 }
 
 Result<Engine::SubscriptionPlan> Engine::PlanOf(std::string_view id) const {
-  auto it = id_index_.find(std::string(id));
-  if (it == id_index_.end()) {
+  const size_t sub = SubIndexOf(id);
+  if (sub == kUnknownSub) {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
-  const EvalSlot& slot = slots_[sub_slot_[it->second]];
+  const EvalSlot& slot = slots_[sub_slot_[sub]];
   return SubscriptionPlan{slot.planned_engine, slot.predicted_bytes,
                           slot.degraded};
 }
 
 Result<const CompiledQuery*> Engine::SubscribedQuery(
     std::string_view id) const {
-  auto it = id_index_.find(std::string(id));
-  if (it == id_index_.end()) {
+  const size_t sub = SubIndexOf(id);
+  if (sub == kUnknownSub) {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
-  const size_t sub = it->second;
   // Duplicate subscribers keep their own compiled query; the slot
   // representative's lives in the slot itself.
-  const CompiledQuery* query = sub_queries_[sub] != nullptr
-                                   ? sub_queries_[sub].get()
+  const SubRecord& record = records_[handles_[sub]];
+  const CompiledQuery* query = record.query != nullptr
+                                   ? record.query.get()
                                    : &slots_[sub_slot_[sub]].query;
   return query;
 }
@@ -598,7 +633,7 @@ void Engine::FinalizeDocument() {
   // Everything O(subscriptions) below is deferred or sink-gated; a
   // sink-less caller that samples results per id pays O(slots) here.
   slot_decided_at_ = decided_at_;
-  subs_at_last_doc_ = ids_.size();
+  subs_at_last_doc_ = handles_.size();
   expansion_valid_ = false;
   if (options_.keep_history) {
     MaterializeExpansion();
@@ -872,39 +907,39 @@ Result<bool> Engine::Matched(std::string_view id) const {
   if (documents_seen_ == 0) {
     return Status::InvalidArgument("no document has completed yet");
   }
-  auto it = id_index_.find(std::string(id));
-  if (it == id_index_.end()) {
+  const size_t sub = SubIndexOf(id);
+  if (sub == kUnknownSub) {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
-  if (it->second >= subs_at_last_doc_) {
+  if (sub >= subs_at_last_doc_) {
     // Subscribed between documents: no verdict until the next one.
     return Status::InvalidArgument("subscription \"" + std::string(id) +
                                    "\" was added after the last document");
   }
-  return static_cast<bool>(slot_verdicts_[sub_slot_[it->second]]);
+  return static_cast<bool>(slot_verdicts_[sub_slot_[sub]]);
 }
 
 Result<bool> Engine::Matched() const {
-  if (ids_.size() != 1) {
+  if (handles_.size() != 1) {
     return Status::InvalidArgument(
         "Matched() without an id needs exactly one subscription");
   }
-  return Matched(ids_.front());
+  return Matched(records_[handles_.front()].id);
 }
 
 Result<size_t> Engine::DecidedAt(std::string_view id) const {
   if (documents_seen_ == 0) {
     return Status::InvalidArgument("no document has completed yet");
   }
-  auto it = id_index_.find(std::string(id));
-  if (it == id_index_.end()) {
+  const size_t sub = SubIndexOf(id);
+  if (sub == kUnknownSub) {
     return Status::NotFound("unknown subscription id: " + std::string(id));
   }
-  if (it->second >= subs_at_last_doc_) {
+  if (sub >= subs_at_last_doc_) {
     return Status::InvalidArgument("subscription \"" + std::string(id) +
                                    "\" was added after the last document");
   }
-  return slot_decided_at_[sub_slot_[it->second]];
+  return slot_decided_at_[sub_slot_[sub]];
 }
 
 const MemoryStats& Engine::stats() const {

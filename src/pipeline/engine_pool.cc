@@ -6,6 +6,7 @@
 #include <deque>
 #include <mutex>
 #include <thread>
+#include <unordered_set>
 #include <utility>
 
 #include "stream/dfa_table_cache.h"
@@ -285,6 +286,36 @@ Status EnginePool::Unsubscribe(std::string_view id) {
     for (auto& replica : impl_->replicas) {
       Status replica_status = replica.engine->Unsubscribe(id);
       if (!replica_status.ok()) status = replica_status;
+    }
+    return status;
+  });
+}
+
+Status EnginePool::Unsubscribe(const std::vector<std::string>& ids) {
+  return impl_->Quiesced([&]() -> Status {
+    // Validate against one replica (the populations are identical), so
+    // the batch applies whole or leaves every replica untouched.
+    const Engine& reference = *impl_->replicas.front().engine;
+    std::unordered_set<std::string_view> seen;
+    for (const std::string& id : ids) {
+      if (!seen.insert(id).second) {
+        return Status::InvalidArgument("subscription id listed twice: " + id);
+      }
+      XPS_RETURN_IF_ERROR(reference.SubscribedQuery(id).status());
+    }
+    // A refusal can then only come from an engine that cannot remove at
+    // all; it refuses the same id on every replica, so each replica
+    // stops at the same place and the populations stay identical.
+    size_t removed = ids.size();
+    Status status = Status::OK();
+    for (auto& replica : impl_->replicas) {
+      for (size_t i = 0; i < removed; ++i) {
+        Status replica_status = replica.engine->Unsubscribe(ids[i]);
+        if (!replica_status.ok()) {
+          removed = i;
+          status = replica_status;
+        }
+      }
     }
     return status;
   });

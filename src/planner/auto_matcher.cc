@@ -55,15 +55,32 @@ Result<size_t> AutoMatcher::EnsureMember(const std::string& engine) {
   for (size_t i = 0; i < members_.size(); ++i) {
     if (members_[i].engine == engine) return i;
   }
-  auto matcher = EngineRegistry::Global().CreateMatcher(engine, context_);
-  if (!matcher.ok()) return matcher.status();
   Member member;
   member.engine = engine;
-  member.matcher = std::move(matcher).value();
+  if (engine == "nfa_index") {
+    // Created directly rather than through the registry: routing prices
+    // subscriptions against this member's live trie.
+    auto index = std::make_unique<NfaIndexMatcher>(context_.symbols);
+    index_ = index.get();
+    member.matcher = std::move(index);
+  } else {
+    auto matcher = EngineRegistry::Global().CreateMatcher(engine, context_);
+    if (!matcher.ok()) return matcher.status();
+    member.matcher = std::move(matcher).value();
+  }
   member.relay = std::make_unique<Relay>(this, members_.size());
   member.matcher->SetSink(member.relay.get());
   members_.push_back(std::move(member));
   return members_.size() - 1;
+}
+
+bool AutoMatcher::IndexAdmits(const Query& query, size_t price,
+                              const DocumentProfile& profile) const {
+  const NfaIndex::TrieShape population =
+      index_ != nullptr ? index_->index().ShapeWith(query)
+                        : NfaIndex::ShapeOf(query);
+  return NfaIndexPopulationCost(population, profile).PredictedPeakBytes() <=
+         index_charges_ + price;
 }
 
 Status AutoMatcher::Subscribe(size_t slot, const Query* query) {
@@ -71,25 +88,43 @@ Status AutoMatcher::Subscribe(size_t slot, const Query* query) {
     return Status::InvalidArgument("subscription slots must be dense");
   }
   // Price the query against the stream observed so far (assumed
-  // defaults before the first document) and walk the ranking: the
-  // predicted-cheapest engine that statically accepts the query gets
-  // it. A member that still rejects at Subscribe time (the static check
-  // is advisory) falls through to the next candidate.
+  // defaults before the first document). A linear path the shared index
+  // can absorb within the charges of its population goes there first;
+  // then the ranking is walked: the predicted-cheapest engine that
+  // statically accepts the query gets it. A member that still rejects
+  // at Subscribe time (the static check is advisory) falls through to
+  // the next candidate.
   static const DocumentProfile kAssumed;
   const DocumentProfile& profile =
       context_.profile != nullptr ? *context_.profile : kAssumed;
   const QueryPlan plan = BuildQueryPlan(*query, profile);
-  Status last = Status::Unsupported("no engine accepts this query");
+  const EnginePrediction* choice = plan.Choice();
+  const size_t price =
+      choice != nullptr ? choice->cost.PredictedPeakBytes() : 0;
+  std::vector<const std::string*> candidates;
   for (const EnginePrediction& prediction : plan.ranking) {
     if (!prediction.supported) continue;
-    auto member_index = EnsureMember(prediction.engine);
+    if (prediction.engine == "nfa_index" &&
+        IndexAdmits(*query, price, profile)) {
+      candidates.insert(candidates.begin(), &prediction.engine);
+    } else {
+      candidates.push_back(&prediction.engine);
+    }
+  }
+  Status last = Status::Unsupported("no engine accepts this query");
+  for (const std::string* engine : candidates) {
+    auto member_index = EnsureMember(*engine);
     if (!member_index.ok()) return member_index.status();
     Member& member = members_[member_index.value()];
     const size_t local = member.matcher->NumSubscriptions();
     Status status = member.matcher->Subscribe(local, query);
     if (status.ok()) {
+      // Every slot on the index carries its charge there, whichever way
+      // it arrived, so the invariant's right-hand side stays exact.
+      const size_t charge = member.matcher.get() == index_ ? price : 0;
+      index_charges_ += charge;
       member.local_to_global.push_back(slot);
-      routes_.push_back(Route{member_index.value(), local});
+      routes_.push_back(Route{member_index.value(), local, charge});
       return Status::OK();
     }
     if (status.code() != StatusCode::kUnsupported) return status;
@@ -104,9 +139,13 @@ Status AutoMatcher::Unsubscribe(size_t slot) {
   }
   // The member tombstones its local slot; the route stays so the slot
   // keeps its number (and its EngineForSlot answer) like everywhere
-  // else in the matcher layer.
-  const Route& route = routes_[slot];
-  return members_[route.member].matcher->Unsubscribe(route.local);
+  // else in the matcher layer. The slot's charge leaves the index's
+  // budget; its trie states stay until the facade compacts.
+  Route& route = routes_[slot];
+  XPS_RETURN_IF_ERROR(members_[route.member].matcher->Unsubscribe(route.local));
+  index_charges_ -= route.charge;
+  route.charge = 0;
+  return Status::OK();
 }
 
 Status AutoMatcher::Reset() {

@@ -41,6 +41,7 @@ QueryShape AnalyzeQueryShape(const Query& query) {
     if (!node->is_wildcard()) names.insert(node->ntest());
   }
   shape.distinct_names = names.size();
+  shape.index_trie = NfaIndex::ShapeOf(query);
   // Walk the location path for the step count and the DFA window: the
   // longest run of consecutive wildcard steps that a descendant axis
   // upstream turns into "remember which of the last k levels matched".
@@ -61,10 +62,12 @@ QueryShape AnalyzeQueryShape(const Query& query) {
 }
 
 const std::vector<std::string>& PlannerEngines() {
-  // Preference order for exact cost ties: automaton stacks are the
-  // leanest structures, the frontier table next, tree building last.
+  // Preference order for exact cost ties: the shared index first (at
+  // equal cost its states also serve later subscriptions, and a lone
+  // query then routes under "auto" as this ranking says), automaton
+  // stacks next, the frontier table after, tree building last.
   static const std::vector<std::string> kEngines = {
-      "nfa", "lazy_dfa", "nfa_index", "frontier", "naive"};
+      "nfa_index", "nfa", "lazy_dfa", "frontier", "naive"};
   return kEngines;
 }
 
@@ -164,14 +167,24 @@ CostEstimate EstimateCostForEngine(const std::string& engine,
     return cost;
   }
   if (engine == "nfa_index") {
-    // Shared NFA: ~one automaton state per step (worst case, no prefix
-    // sharing with other subscriptions) plus the active (state, level)
-    // set — descendant self-loops keep up to one state per query step
-    // live at every open level.
-    cost.automaton_entries = shape.steps + 1;
-    cost.state_entries = StackLevels(profile) * std::max<size_t>(1, shape.steps);
+    // B({q}): the population bound of the query's own trie.
+    const CostEstimate alone = NfaIndexPopulationCost(shape.index_trie, profile);
+    cost.automaton_entries = alone.automaton_entries;
+    cost.state_entries = alone.state_entries;
     return cost;
   }
+  return cost;
+}
+
+CostEstimate NfaIndexPopulationCost(const NfaIndex::TrieShape& trie,
+                                    const DocumentProfile& profile) {
+  // A run holds each state at most once per open level (active sets are
+  // deduplicated). An anchored state's path fixes its depth, so it is
+  // live at that one level; a floating state rides a `//` self-loop and
+  // may be live at every level.
+  CostEstimate cost;
+  cost.automaton_entries = trie.states();
+  cost.state_entries = trie.anchored + StackLevels(profile) * trie.floating;
   return cost;
 }
 

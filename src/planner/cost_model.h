@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "stream/nfa_index.h"
 #include "xml/stats.h"
 #include "xpstream/planner.h"
 
@@ -34,6 +35,8 @@ struct QueryShape {
   bool has_attribute = false;  ///< Any attribute-axis step on the path.
   bool has_predicates = false; ///< Any predicate anywhere.
   bool linear = false;         ///< Pure location path (IsLinearPathQuery).
+  /// The query's own nfa_index trie (NfaIndex::ShapeOf): B({q})'s counts.
+  NfaIndex::TrieShape index_trie;
 };
 
 /// Measures `query` for the cost formulas.
@@ -55,6 +58,14 @@ bool EngineSupportsQuery(const std::string& engine, const Query& query,
 CostEstimate EstimateCostForEngine(const std::string& engine,
                                    const QueryShape& shape,
                                    const DocumentProfile& profile);
+
+/// B(P), the nfa_index population bound (docs/cost_model.md): for a
+/// population whose shared trie has `trie`'s counts, one automaton entry
+/// per state, one run entry per anchored state (live at its own depth
+/// only) and one per open level for every floating state. A lone query
+/// is P = {q}: EstimateCostForEngine("nfa_index") is B({q}).
+CostEstimate NfaIndexPopulationCost(const NfaIndex::TrieShape& trie,
+                                    const DocumentProfile& profile);
 
 /// Builds the full supported-then-cheapest ranking (the body of the
 /// public PlanQuery).

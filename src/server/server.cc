@@ -198,16 +198,16 @@ class Server::Impl : public SessionHost {
       XPS_RETURN_IF_ERROR(
           engine_->Subscribe(std::to_string(wire_id), query, delivery));
     }
-    sub_index_[wire_id] = subs_.size();
+    // Wire ids only grow, so appending keeps subs_ sorted by wire id.
     subs_.push_back(SubRecord{wire_id, session});
     return wire_id;
   }
 
   Status OnUnsubscribe(Session* session, uint32_t sub_id) override {
-    auto it = sub_index_.find(sub_id);
+    const size_t index = FindSub(sub_id);
     // A subscription is private to the connection that made it; another
     // connection's id is indistinguishable from an unknown one.
-    if (it == sub_index_.end() || subs_[it->second].owner != session) {
+    if (index == subs_.size() || subs_[index].owner != session) {
       return Status::NotFound("unknown subscription id: " +
                               std::to_string(sub_id));
     }
@@ -216,7 +216,7 @@ class Server::Impl : public SessionHost {
     } else {
       XPS_RETURN_IF_ERROR(engine_->Unsubscribe(std::to_string(sub_id)));
     }
-    EraseSub(it->second);
+    subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(index));
     return Status::OK();
   }
 
@@ -292,6 +292,12 @@ class Server::Impl : public SessionHost {
                                             : engine.documents_seen());
     line("subscriptions", engine.NumSubscriptions());
     line("eval_slots", engine.num_eval_slots());
+    // Where the live slots are evaluated: per registry engine, the
+    // member "auto" routed them to (every slot on the one engine of a
+    // fixed-engine server).
+    for (const std::string& name : Engine::AvailableEngines()) {
+      line("slots_" + name, engine.eval_slots_on(name));
+    }
     line("tombstoned_slots", engine.tombstoned_slots());
     line("automaton_rebuilds", engine.automaton_rebuilds());
     line("connections", sessions_.size());
@@ -464,9 +470,9 @@ class Server::Impl : public SessionHost {
                      const std::vector<std::string>& ids) {
     if (sub >= ids.size()) return;  // defensive: snapshot/pool skew
     const uint32_t wire_id = WireIdOf(ids[sub]);
-    auto it = sub_index_.find(wire_id);
-    if (it == sub_index_.end()) return;  // unsubscribed since dispatch
-    Session* owner = subs_[it->second].owner;
+    const size_t index = FindSub(wire_id);
+    if (index == subs_.size()) return;  // unsubscribed since dispatch
+    Session* owner = subs_[index].owner;
     if (owner == nullptr) return;
     owner->EnqueuePush(wire::EncodeMatch(wire_id, doc, ordinal));
   }
@@ -481,12 +487,17 @@ class Server::Impl : public SessionHost {
       uint32_t count = 0;
     };
     std::unordered_map<Session*, Group> groups;
+    // The snapshot and subs_ both run in wire-id order, so one forward
+    // walk of subs_ finds every record.
     const size_t n = std::min(verdicts.size(), ids.size());
+    size_t index = 0;
     for (size_t i = 0; i < n; ++i) {
       const uint32_t wire_id = WireIdOf(ids[i]);
-      auto it = sub_index_.find(wire_id);
-      if (it == sub_index_.end()) continue;  // unsubscribed since dispatch
-      Session* owner = subs_[it->second].owner;
+      while (index < subs_.size() && subs_[index].wire_id < wire_id) ++index;
+      if (index == subs_.size() || subs_[index].wire_id != wire_id) {
+        continue;  // unsubscribed since dispatch
+      }
+      Session* owner = subs_[index].owner;
       if (owner == nullptr) continue;
       Group& group = groups[owner];
       wire::AppendU32(&group.entries, wire_id);
@@ -600,36 +611,41 @@ class Server::Impl : public SessionHost {
     } else if (publisher_ == session) {
       AbortDocument();
     }
-    for (size_t i = 0; i < subs_.size();) {
-      if (subs_[i].owner != session) {
-        ++i;
-        continue;
+    if (pool_ != nullptr) {
+      // One pool mutation for the whole connection: a single quiesce,
+      // however many subscriptions it held. The pool quiesces
+      // internally, so removal is legal even with documents in flight;
+      // posted frames for this session resolve against subs_ at drain
+      // time and find nothing. Every id is live and listed once, so
+      // this cannot fail.
+      std::vector<std::string> ids;
+      for (const SubRecord& sub : subs_) {
+        if (sub.owner == session) ids.push_back(std::to_string(sub.wire_id));
       }
-      if (pool_ != nullptr) {
-        // The pool quiesces internally, so removal is legal even with
-        // documents in flight; posted frames for this session resolve
-        // against sub_index_ at drain time and find nothing. A just-
-        // added id cannot be unknown, so this cannot fail.
-        pool_->Unsubscribe(std::to_string(subs_[i].wire_id));
-        EraseSub(i);
-        continue;
-      }
-      // Engine removal is barred while some other connection's document
-      // streams; detach now (stop delivering) and unsubscribe at the
-      // document boundary.
-      if (publisher_ != nullptr ||
-          !engine_->Unsubscribe(std::to_string(subs_[i].wire_id)).ok()) {
-        // Mid-document, or the engine refused removal: the engine
-        // still holds the slot, so the record must stay too (erasing
-        // it would shift indices and desynchronize subs_ from the
-        // engine). Detach delivery now, retry at a document boundary.
-        subs_[i].owner = nullptr;
-        deferred_unsubs_.push_back(subs_[i].wire_id);
-        ++i;
-      } else {
-        EraseSub(i);
+      if (!ids.empty()) (void)pool_->Unsubscribe(ids);
+    } else {
+      for (SubRecord& sub : subs_) {
+        if (sub.owner != session) continue;
+        // Engine removal is barred while some other connection's
+        // document streams. Mid-document, or when the engine refused
+        // removal, the engine still holds the slot, so the record must
+        // stay too (erasing it would desynchronize subs_ from the
+        // engine): detach delivery now, unsubscribe at the document
+        // boundary.
+        if (publisher_ != nullptr ||
+            !engine_->Unsubscribe(std::to_string(sub.wire_id)).ok()) {
+          sub.owner = nullptr;
+          deferred_unsubs_.push_back(sub.wire_id);
+        }
       }
     }
+    // The records still owned by the session are exactly the removed
+    // ones: erase them in one pass.
+    subs_.erase(std::remove_if(subs_.begin(), subs_.end(),
+                               [session](const SubRecord& sub) {
+                                 return sub.owner == session;
+                               }),
+                subs_.end());
     loop_->Remove(fd);  // deferred reap; the handler object stays valid
     sessions_.erase(it);
   }
@@ -644,10 +660,10 @@ class Server::Impl : public SessionHost {
   void FlushDeferredUnsubs() {
     std::vector<uint32_t> retry;
     for (uint32_t wire_id : deferred_unsubs_) {
-      auto it = sub_index_.find(wire_id);
-      if (it == sub_index_.end()) continue;
+      const size_t index = FindSub(wire_id);
+      if (index == subs_.size()) continue;
       if (engine_->Unsubscribe(std::to_string(wire_id)).ok()) {
-        EraseSub(it->second);
+        subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(index));
       } else {
         // Engine kept the slot: keep the (detached) record so indices
         // stay aligned, and try again at the next boundary.
@@ -668,14 +684,16 @@ class Server::Impl : public SessionHost {
     for (int fd : idle) RemoveSession(fd);
   }
 
-  void EraseSub(size_t index) {
-    sub_index_.erase(subs_[index].wire_id);
-    subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(index));
-    // Mirror the engine's shift-down semantics so slot indices in sink
-    // callbacks keep pointing at the right records.
-    for (auto& entry : sub_index_) {
-      if (entry.second > index) --entry.second;
-    }
+  /// The index of `wire_id`'s record in subs_ (sorted by wire id, and
+  /// in engine subscription order), or subs_.size() when absent.
+  /// Records are erased in place, so the survivors' indices shift down
+  /// exactly as the engine's subscription indices do.
+  size_t FindSub(uint32_t wire_id) const {
+    auto it = std::lower_bound(
+        subs_.begin(), subs_.end(), wire_id,
+        [](const SubRecord& sub, uint32_t id) { return sub.wire_id < id; });
+    if (it == subs_.end() || it->wire_id != wire_id) return subs_.size();
+    return static_cast<size_t>(it - subs_.begin());
   }
 
   void PushMatch(size_t slot, size_t doc, size_t ordinal) {
@@ -735,8 +753,7 @@ class Server::Impl : public SessionHost {
 
   // --- loop-thread state -------------------------------------------
   std::unordered_map<int, std::unique_ptr<Session>> sessions_;
-  std::vector<SubRecord> subs_;  // engine subscription order
-  std::unordered_map<uint32_t, size_t> sub_index_;  // wire id -> index
+  std::vector<SubRecord> subs_;  // engine subscription order = wire id order
   uint32_t next_wire_id_ = 1;
   uint64_t next_session_id_ = 1;
   Session* publisher_ = nullptr;  // connection feeding the open document

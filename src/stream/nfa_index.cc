@@ -24,20 +24,24 @@ const EdgeT* FindEdge(const std::vector<EdgeT>& edges, Symbol sym) {
 
 NfaIndex::NfaIndex(SymbolTable* symbols) {
   symbols_.Bind(symbols);
-  NewState();  // state 0 = root
+  NewState(false);  // state 0 = root
 }
 
-int NfaIndex::NewState() {
-  states_.push_back(State());
+int NfaIndex::NewState(bool floating) {
+  State state;
+  state.floating = floating;
+  states_.push_back(std::move(state));
+  ++(floating ? shape_.floating : shape_.anchored);
   return static_cast<int>(states_.size()) - 1;
 }
 
 int NfaIndex::ChildTarget(int from, const std::string& ntest) {
+  const bool floating = states_[static_cast<size_t>(from)].floating;
   if (ntest == "*") {
     // One shared wildcard edge per state keeps prefixes like a/*/b and
     // a/*/c sharing the middle state.
     if (states_[static_cast<size_t>(from)].wildcard_edges.empty()) {
-      int target = NewState();
+      int target = NewState(floating);
       states_[static_cast<size_t>(from)].wildcard_edges.push_back(target);
     }
     return states_[static_cast<size_t>(from)].wildcard_edges.front();
@@ -52,7 +56,7 @@ int NfaIndex::ChildTarget(int from, const std::string& ntest) {
       [](const ChildEdge& edge, Symbol s) { return edge.sym < s; });
   if (it != edges.end() && it->sym == sym) return it->target;
   const size_t pos = static_cast<size_t>(it - edges.begin());
-  int target = NewState();
+  int target = NewState(floating);
   // NewState may reallocate states_; re-take the edge vector.
   std::vector<ChildEdge>& fresh =
       states_[static_cast<size_t>(from)].child_edges;
@@ -63,11 +67,64 @@ int NfaIndex::ChildTarget(int from, const std::string& ntest) {
 
 int NfaIndex::DdState(int from) {
   if (states_[static_cast<size_t>(from)].dd_state < 0) {
-    int dd = NewState();
+    int dd = NewState(true);
     states_[static_cast<size_t>(dd)].self_loop = true;
     states_[static_cast<size_t>(from)].dd_state = dd;
   }
   return states_[static_cast<size_t>(from)].dd_state;
+}
+
+NfaIndex::TrieShape NfaIndex::Grow(const NfaIndex* trie, const Query& query,
+                                   TrieShape shape) {
+  if (!IsLinearPathQuery(query)) return shape;
+  // `current` follows the path through the trie; once an edge is
+  // missing (-1) every further step is a new state, floating as soon as
+  // a `//` has been passed — exactly what AddQuery would create.
+  int current = trie != nullptr ? 0 : -1;
+  bool floating = false;
+  auto follow = [&](int next) {
+    if (next >= 0) {
+      current = next;
+      return;
+    }
+    current = -1;
+    ++(floating ? shape.floating : shape.anchored);
+  };
+  const SymbolTable* table = trie != nullptr ? trie->symbols_.get() : nullptr;
+  for (const QueryNode* step = query.root()->successor(); step != nullptr;
+       step = step->successor()) {
+    // An attribute step adds no state: it accepts on the current one,
+    // or (not last) makes the query unsatisfiable.
+    if (step->axis() == Axis::kAttribute) break;
+    if (step->axis() == Axis::kDescendant) {
+      floating = true;
+      follow(current >= 0 ? trie->states_[static_cast<size_t>(current)].dd_state
+                          : -1);
+    }
+    int next = -1;
+    if (current >= 0) {
+      const State& state = trie->states_[static_cast<size_t>(current)];
+      if (step->is_wildcard()) {
+        if (!state.wildcard_edges.empty()) next = state.wildcard_edges.front();
+      } else if (table != nullptr) {
+        const ChildEdge* edge =
+            FindEdge(state.child_edges, table->Find(step->ntest()));
+        if (edge != nullptr) next = edge->target;
+      }
+    }
+    follow(next);
+  }
+  return shape;
+}
+
+NfaIndex::TrieShape NfaIndex::ShapeWith(const Query& query) const {
+  return Grow(this, query, shape_);
+}
+
+NfaIndex::TrieShape NfaIndex::ShapeOf(const Query& query) {
+  TrieShape root;
+  root.anchored = 1;
+  return Grow(nullptr, query, root);
 }
 
 Status NfaIndex::AddQuery(size_t id, const Query& query) {
@@ -80,23 +137,13 @@ Status NfaIndex::AddQuery(size_t id, const Query& query) {
   if (step == nullptr) {
     return Status::Unsupported("query has no steps");
   }
+  Registration registration;
+  registration.live = true;
   for (; step != nullptr; step = step->successor()) {
-    switch (step->axis()) {
-      case Axis::kChild:
-        current = ChildTarget(current, step->ntest());
-        break;
-      case Axis::kDescendant:
-        current = ChildTarget(DdState(current), step->ntest());
-        break;
-      case Axis::kAttribute: {
-        if (step->successor() != nullptr) {
-          // Attribute nodes have no children: further steps can never
-          // match, so the query is unsatisfiable. Register it with no
-          // accepting state.
-          num_queries_++;
-          max_id_ = std::max(max_id_, id);
-          return Status::OK();
-        }
+    if (step->axis() == Axis::kAttribute) {
+      // Attribute nodes have no children: with further steps the query
+      // can never match and is registered with no accepting state.
+      if (step->successor() == nullptr) {
         const Symbol sym = symbols_.get()->Intern(step->ntest());
         std::vector<AttrAccept>& accepts =
             states_[static_cast<size_t>(current)].attribute_accepts;
@@ -107,29 +154,42 @@ Status NfaIndex::AddQuery(size_t id, const Query& query) {
           it = accepts.insert(it, AttrAccept{sym, {}});
         }
         it->ids.push_back(id);
-        num_queries_++;
-        max_id_ = std::max(max_id_, id);
-        return Status::OK();
+        registration.state = current;
+        registration.attr = sym;
       }
+      break;
+    }
+    if (step->axis() == Axis::kDescendant) current = DdState(current);
+    current = ChildTarget(current, step->ntest());
+    if (step->successor() == nullptr) {
+      states_[static_cast<size_t>(current)].accepts.push_back(id);
+      registration.state = current;
     }
   }
-  states_[static_cast<size_t>(current)].accepts.push_back(id);
+  if (registrations_.size() <= id) registrations_.resize(id + 1);
+  registrations_[id] = registration;
   num_queries_++;
   max_id_ = std::max(max_id_, id);
   return Status::OK();
 }
 
 void NfaIndex::RemoveQuery(size_t id) {
-  auto erase_id = [id](std::vector<size_t>* ids) {
-    ids->erase(std::remove(ids->begin(), ids->end(), id), ids->end());
-  };
-  for (State& state : states_) {
-    erase_id(&state.accepts);
-    for (AttrAccept& accept : state.attribute_accepts) {
-      erase_id(&accept.ids);
+  if (id >= registrations_.size() || !registrations_[id].live) return;
+  Registration& registration = registrations_[id];
+  if (registration.state >= 0) {
+    State& state = states_[static_cast<size_t>(registration.state)];
+    std::vector<size_t>* ids = &state.accepts;
+    if (registration.attr != kNoSymbol) {
+      auto it = std::lower_bound(
+          state.attribute_accepts.begin(), state.attribute_accepts.end(),
+          registration.attr,
+          [](const AttrAccept& a, Symbol s) { return a.sym < s; });
+      ids = &it->ids;
     }
+    ids->erase(std::find(ids->begin(), ids->end(), id));
   }
-  if (num_queries_ > 0) --num_queries_;
+  registration = Registration();
+  --num_queries_;
 }
 
 Result<std::vector<bool>> NfaIndex::FilterDocument(const EventStream& events) {
@@ -289,87 +349,58 @@ Result<std::vector<bool>> NfaIndexRun::Verdicts() const {
   return verdicts_;
 }
 
-namespace {
+NfaIndexMatcher::NfaIndexMatcher(SymbolTable* symbols)
+    : index_(symbols), run_(&index_) {
+  BindSymbols(index_.symbols());
+}
 
-/// The shared-automaton dissemination engine: all subscriptions run in
-/// one NfaIndex, slots map 1:1 onto index query ids.
-class NfaIndexMatcher : public Matcher {
- public:
-  /// The index resolves against `symbols` (owning a private table when
-  /// nullptr); the matcher binds the same table, so the symbol it
-  /// resolves per event is the one the index's edges are keyed by.
-  explicit NfaIndexMatcher(SymbolTable* symbols)
-      : index_(symbols), run_(&index_) {
-    BindSymbols(index_.symbols());
+Status NfaIndexMatcher::Subscribe(size_t slot, const Query* query) {
+  if (slot != subscriptions_) {
+    return Status::InvalidArgument("subscription slots must be dense");
   }
+  XPS_RETURN_IF_ERROR(index_.AddQuery(slot, *query));
+  ++subscriptions_;
+  tombstoned_.push_back(0);
+  return Status::OK();
+}
 
-  std::string name() const override { return "nfa_index"; }
-
-  Status Subscribe(size_t slot, const Query* query) override {
-    if (slot != subscriptions_) {
-      return Status::InvalidArgument("subscription slots must be dense");
-    }
-    XPS_RETURN_IF_ERROR(index_.AddQuery(slot, *query));
-    ++subscriptions_;
-    tombstoned_.push_back(0);
-    return Status::OK();
+Status NfaIndexMatcher::Unsubscribe(size_t slot) {
+  if (slot >= subscriptions_ || tombstoned_[slot] != 0) {
+    return Status::InvalidArgument("unknown or already tombstoned slot");
   }
+  // One accept-list erase; the shared automaton is never rebuilt and
+  // the run's recycled storage stays valid.
+  index_.RemoveQuery(slot);
+  tombstoned_[slot] = 1;
+  ++tombstone_count_;
+  return Status::OK();
+}
 
-  Status Unsubscribe(size_t slot) override {
-    if (slot >= subscriptions_ || tombstoned_[slot] != 0) {
-      return Status::InvalidArgument("unknown or already tombstoned slot");
-    }
-    // One accept-list sweep; the shared automaton is never rebuilt and
-    // the run's recycled storage stays valid.
-    index_.RemoveQuery(slot);
-    tombstoned_[slot] = 1;
-    ++tombstone_count_;
-    return Status::OK();
-  }
+void NfaIndexMatcher::SetSink(MatchSink* sink) {
+  sink_ = sink;
+  run_.SetSink(sink);  // slots map 1:1 onto index query ids
+}
 
-  size_t NumSubscriptions() const override { return subscriptions_; }
-  Status Reset() override { return run_.Reset(); }
-  Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override {
-    return run_.OnSymbolizedEvent(event, name_sym);
-  }
+Result<std::vector<bool>> NfaIndexMatcher::Verdicts() const {
+  auto verdicts = run_.Verdicts();
+  if (!verdicts.ok()) return verdicts.status();
+  // The run sizes verdicts by max query id + 1; trim the placeholder
+  // entry of a subscription-free index.
+  verdicts->resize(subscriptions_);
+  return verdicts;
+}
 
-  void SetSink(MatchSink* sink) override {
-    sink_ = sink;
-    run_.SetSink(sink);  // slots map 1:1 onto index query ids
-  }
+std::vector<size_t> NfaIndexMatcher::DecidedPositions() const {
+  std::vector<size_t> positions = run_.DecidedPositions();
+  positions.resize(subscriptions_, kNoEventOrdinal);
+  return positions;
+}
 
-  Result<std::vector<bool>> Verdicts() const override {
-    auto verdicts = run_.Verdicts();
-    if (!verdicts.ok()) return verdicts.status();
-    // The run sizes verdicts by max query id + 1; trim the placeholder
-    // entry of a subscription-free index.
-    verdicts->resize(subscriptions_);
-    return verdicts;
-  }
-
-  std::vector<size_t> DecidedPositions() const override {
-    std::vector<size_t> positions = run_.DecidedPositions();
-    positions.resize(subscriptions_, kNoEventOrdinal);
-    return positions;
-  }
-
-  bool AllDecided() const override {
-    // Tombstoned slots cannot accept (their ids were removed from every
-    // accept list), so "everything live matched" is the decided point.
-    return run_.NumMatched() + tombstone_count_ >= subscriptions_;
-  }
-
-  const MemoryStats& stats() const override { return run_.stats(); }
-
- private:
-  NfaIndex index_;
-  NfaIndexRun run_;
-  size_t subscriptions_ = 0;
-  std::vector<uint8_t> tombstoned_;  ///< per-slot tombstone flags
-  size_t tombstone_count_ = 0;
-};
-
-}  // namespace
+bool NfaIndexMatcher::AllDecided() const {
+  // Tombstoned slots cannot accept (their ids were removed from every
+  // accept list), so "everything live matched" is the decided point.
+  return run_.NumMatched() + tombstone_count_ >= subscriptions_;
+}
 
 void RegisterNfaIndexEngine(EngineRegistry& registry) {
   Status status = registry.Register(

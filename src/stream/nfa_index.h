@@ -31,13 +31,13 @@
 
 #include "common/memory_stats.h"
 #include "common/status.h"
+#include "stream/matcher.h"
 #include "xml/event.h"
 #include "xml/symbol_table.h"
 #include "xpath/ast.h"
 
 namespace xpstream {
 
-class MatchSink;  // stream/matcher.h
 class NfaIndexRun;
 
 class NfaIndex {
@@ -56,17 +56,43 @@ class NfaIndex {
 
   size_t NumQueries() const { return num_queries_; }
 
-  /// Removes every acceptance of query `id` (one O(states) sweep over
-  /// accept lists). States and edges stay — shared prefixes may serve
-  /// other queries and the verdict width (max id) is unchanged — so
-  /// removal never rebuilds the automaton and never invalidates a run's
-  /// recycled storage: the id simply stops accepting and its verdict
-  /// reads false from the next document on. Reclaiming dead states is
-  /// the facade's deferred-compaction decision (a fresh matcher).
+  /// Removes the acceptance of query `id`: AddQuery recorded where the
+  /// id accepts, so this touches that one accept list only. States and
+  /// edges stay — shared prefixes may serve other queries and the
+  /// verdict width (max id) is unchanged — so removal never rebuilds
+  /// the automaton and never invalidates a run's recycled storage: the
+  /// id simply stops accepting and its verdict reads false from the
+  /// next document on. Reclaiming dead states is the facade's
+  /// deferred-compaction decision (a fresh matcher). Unknown or
+  /// already removed ids are a no-op.
   void RemoveQuery(size_t id);
 
   /// Total NFA states, shared across all registered queries.
   size_t NumStates() const { return states_.size(); }
+
+  /// The counts behind the population bound B(P) of
+  /// docs/cost_model.md: how many states the trie has, and how many of
+  /// them one run can hold live at once. A state reached from the root
+  /// through child and `*` edges only is live at exactly one open level
+  /// (its depth); a `//` companion, and every state below one, may be
+  /// live at every open level.
+  struct TrieShape {
+    size_t anchored = 0;  ///< live at one level each (the root included)
+    size_t floating = 0;  ///< live at up to every open level
+    size_t states() const { return anchored + floating; }
+  };
+
+  /// The shape of this index's trie. Removed queries' states count:
+  /// removal never shrinks the automaton.
+  const TrieShape& Shape() const { return shape_; }
+
+  /// The shape the trie would have after AddQuery(query): a dry-run walk
+  /// of the path that counts the states it would add, without mutating
+  /// the trie. Queries AddQuery rejects add nothing.
+  TrieShape ShapeWith(const Query& query) const;
+
+  /// The shape of the trie holding `query` alone, B({q})'s counts.
+  static TrieShape ShapeOf(const Query& query);
 
   /// Runs one document through the index; returns the per-query verdict
   /// vector (indexed by the ids passed to AddQuery). Implemented as a
@@ -108,10 +134,25 @@ class NfaIndex {
     /// descendant companion state (self-loop); -1 when absent.
     int dd_state = -1;
     bool self_loop = false;
+    /// A `//` companion or a state below one (TrieShape::floating).
+    bool floating = false;
     std::vector<size_t> accepts;  ///< query ids accepted on entry
   };
 
-  int NewState();
+  /// Where AddQuery put one id's acceptance, so RemoveQuery need not
+  /// search for it.
+  struct Registration {
+    bool live = false;        ///< added and not removed since
+    int state = -1;           ///< accepting state; -1 when unsatisfiable
+    Symbol attr = kNoSymbol;  ///< attribute-terminal: the accept's key
+  };
+
+  /// Adds the states AddQuery would create for `query`'s path to
+  /// `shape`, walking `trie` (nullptr = a root-only trie).
+  static TrieShape Grow(const NfaIndex* trie, const Query& query,
+                        TrieShape shape);
+
+  int NewState(bool floating);
   /// Gets or creates the target of a child edge from `from` for `ntest`.
   int ChildTarget(int from, const std::string& ntest);
   /// Gets or creates the descendant companion of `from`.
@@ -119,6 +160,8 @@ class NfaIndex {
 
   SymbolTableRef symbols_;
   std::vector<State> states_;
+  TrieShape shape_;
+  std::vector<Registration> registrations_;  ///< indexed by query id
   size_t num_queries_ = 0;
   size_t max_id_ = 0;
   mutable std::unique_ptr<NfaIndexRun> batch_run_;
@@ -209,6 +252,42 @@ class NfaIndexRun : public EventSink {
   size_t active_entries_ = 0;
   bool done_ = false;
   MemoryStats stats_;
+};
+
+/// The shared-automaton dissemination engine ("nfa_index"): all
+/// subscriptions run in one NfaIndex, slots map 1:1 onto index query
+/// ids. Public so the "auto" router can price a subscription against
+/// the live trie (index().ShapeWith) before choosing it.
+class NfaIndexMatcher : public Matcher {
+ public:
+  /// The index resolves against `symbols` (owning a private table when
+  /// nullptr); the matcher binds the same table, so the symbol it
+  /// resolves per event is the one the index's edges are keyed by.
+  explicit NfaIndexMatcher(SymbolTable* symbols);
+
+  std::string name() const override { return "nfa_index"; }
+  Status Subscribe(size_t slot, const Query* query) override;
+  Status Unsubscribe(size_t slot) override;
+  size_t NumSubscriptions() const override { return subscriptions_; }
+  Status Reset() override { return run_.Reset(); }
+  Status OnSymbolizedEvent(const Event& event, Symbol name_sym) override {
+    return run_.OnSymbolizedEvent(event, name_sym);
+  }
+  void SetSink(MatchSink* sink) override;
+  Result<std::vector<bool>> Verdicts() const override;
+  std::vector<size_t> DecidedPositions() const override;
+  bool AllDecided() const override;
+  const MemoryStats& stats() const override { return run_.stats(); }
+
+  /// The shared automaton every subscription runs in.
+  const NfaIndex& index() const { return index_; }
+
+ private:
+  NfaIndex index_;
+  NfaIndexRun run_;
+  size_t subscriptions_ = 0;
+  std::vector<uint8_t> tombstoned_;  ///< per-slot tombstone flags
+  size_t tombstone_count_ = 0;
 };
 
 }  // namespace xpstream

@@ -117,6 +117,43 @@ Result<std::unique_ptr<Query>> GenerateLinearQuery(Random* rng, size_t steps,
   return ParseQuery(text);
 }
 
+std::vector<std::string> GeneratePathQueries(
+    Random* rng, const std::vector<EventStream>& documents, size_t count,
+    double skip, double wildcard) {
+  // Every root-to-element path of the corpus, as name sequences.
+  std::vector<std::vector<std::string>> paths;
+  for (const EventStream& events : documents) {
+    std::vector<std::string> open;
+    for (const Event& event : events) {
+      if (event.type == EventType::kStartElement) {
+        open.emplace_back(event.name);
+        paths.push_back(open);
+      } else if (event.type == EventType::kEndElement && !open.empty()) {
+        open.pop_back();
+      }
+    }
+  }
+  std::vector<std::string> queries;
+  if (paths.empty()) return queries;
+  queries.reserve(count);
+  while (queries.size() < count) {
+    const std::vector<std::string>& path = paths[rng->Uniform(paths.size())];
+    std::string text;
+    bool skipped = false;
+    for (size_t i = 0; i < path.size(); ++i) {
+      if (i + 1 < path.size() && rng->Bernoulli(skip)) {
+        skipped = true;
+        continue;
+      }
+      text += skipped ? "//" : "/";
+      text += rng->Bernoulli(wildcard) ? "*" : path[i];
+      skipped = false;
+    }
+    queries.push_back(std::move(text));
+  }
+  return queries;
+}
+
 std::string FrontierFamilyQueryText(size_t k) {
   std::string text = "/r[";
   for (size_t i = 0; i < k; ++i) {

@@ -19,9 +19,11 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "common/status.h"
+#include "xml/event.h"
 #include "xpath/ast.h"
 
 namespace xpstream {
@@ -47,6 +49,16 @@ Result<std::unique_ptr<Query>> GenerateLinearQuery(Random* rng, size_t steps,
                                                    double descendant_prob,
                                                    double wildcard_prob,
                                                    size_t name_pool);
+
+/// `count` linear path queries written against `documents`, the way
+/// dissemination subscriptions are written against the stream they
+/// filter: each follows one root-to-element path of a random document,
+/// leaves an inner step out behind a `//` with probability `skip`, and
+/// widens a name to `*` with probability `wildcard`. Texts repeat when
+/// the draws do. `documents` must hold at least one element.
+std::vector<std::string> GeneratePathQueries(
+    Random* rng, const std::vector<EventStream>& documents, size_t count,
+    double skip, double wildcard);
 
 /// "/r[p0 > 0 and p1 > 1 and ... and p(k-1) > k-1]/s" — frontier size
 /// k+1, all names distinct (redundancy-free).

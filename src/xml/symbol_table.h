@@ -101,6 +101,10 @@ class SymbolTableRef {
     return table_;
   }
 
+  /// The table for lookups that must not create one: nullptr while no
+  /// table is bound or owned yet (then no name was ever interned).
+  const SymbolTable* get() const { return table_; }
+
  private:
   SymbolTable* table_ = nullptr;
   std::unique_ptr<SymbolTable> owned_;

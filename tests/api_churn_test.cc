@@ -16,6 +16,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
 #include <map>
 #include <string>
 #include <tuple>
@@ -340,6 +342,58 @@ TEST(ApiChurnTest, LifecycleCallsAreBarredMidDocument) {
   ASSERT_TRUE((*engine)->Feed("</s0>").ok());
   ASSERT_TRUE((*engine)->FinishDocument().ok());
   EXPECT_TRUE(*(*engine)->Matched("q"));
+}
+
+// Unsubscribe renumbers nothing: subscriptions are keyed by stable
+// handles and located by binary search, so at 16k subscriptions a
+// removal costs about what a registration does — not a walk over every
+// later subscription's index. Both are timed in this process, on the
+// same engine, so the bound holds on any host and build type.
+TEST(ApiChurnTest, UnsubscribeCostsAboutWhatSubscribeCosts) {
+  constexpr size_t kSubscriptions = 16384;
+  auto engine = Engine::Create("auto");
+  ASSERT_TRUE(engine.ok());
+  std::vector<std::string> queries;
+  for (size_t q = 0; q < 2048; ++q) {
+    queries.push_back("/cat/entry/s" + std::to_string(q % 64) + "/v" +
+                      std::to_string(q / 64));
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto subscribe_start = Clock::now();
+  for (size_t i = 0; i < kSubscriptions; ++i) {
+    ASSERT_TRUE((*engine)
+                    ->Subscribe("sub" + std::to_string(i),
+                                queries[(i * 7919) % queries.size()])
+                    .ok());
+  }
+  const double subscribe_us =
+      std::chrono::duration<double, std::micro>(Clock::now() -
+                                                subscribe_start)
+          .count() /
+      kSubscriptions;
+
+  // Remove in a scattered order, so most removals land mid-vector.
+  Random rng(16);
+  std::vector<size_t> order(kSubscriptions);
+  for (size_t i = 0; i < kSubscriptions; ++i) order[i] = i;
+  for (size_t i = kSubscriptions - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.Uniform(i + 1)]);
+  }
+  const auto unsubscribe_start = Clock::now();
+  for (size_t i : order) {
+    ASSERT_TRUE((*engine)->Unsubscribe("sub" + std::to_string(i)).ok());
+  }
+  const double unsubscribe_us =
+      std::chrono::duration<double, std::micro>(Clock::now() -
+                                                unsubscribe_start)
+          .count() /
+      kSubscriptions;
+  EXPECT_EQ((*engine)->NumSubscriptions(), 0u);
+  EXPECT_LE(unsubscribe_us, 10 * subscribe_us)
+      << "mean Unsubscribe " << unsubscribe_us << " us vs mean Subscribe "
+      << subscribe_us << " us";
+  std::printf("mean Subscribe %.2f us, mean Unsubscribe %.2f us\n",
+              subscribe_us, unsubscribe_us);
 }
 
 }  // namespace

@@ -454,6 +454,35 @@ TEST(EnginePoolTest, FailedSubscribeLeavesEveryReplicaUnchanged) {
   EXPECT_FALSE((*pool)->Unsubscribe("never-there").ok());
 }
 
+// The list overload removes many ids in one mutation, all or nothing:
+// an unknown or repeated id leaves every replica untouched.
+TEST(EnginePoolTest, BatchUnsubscribeIsAllOrNothing) {
+  PipelineOptions options;
+  options.engine.engine = "auto";
+  options.workers = 3;
+  auto pool = EnginePool::Create(options);
+  ASSERT_TRUE(pool.ok());
+  for (const char* id : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE((*pool)->Subscribe(id, std::string("//") + id).ok());
+  }
+  EXPECT_EQ((*pool)->Unsubscribe(std::vector<std::string>{"a", "zz"}).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ((*pool)->Unsubscribe(std::vector<std::string>{"b", "b"}).code(),
+            StatusCode::kInvalidArgument);
+  for (size_t i = 0; i < (*pool)->workers(); ++i) {
+    EXPECT_EQ((*pool)->replica(i).NumSubscriptions(), 4u) << "replica " << i;
+  }
+  ASSERT_TRUE((*pool)->Unsubscribe(std::vector<std::string>{"c", "a"}).ok());
+  for (size_t i = 0; i < (*pool)->workers(); ++i) {
+    EXPECT_EQ((*pool)->replica(i).subscription_ids(),
+              (std::vector<std::string>{"b", "d"}))
+        << "replica " << i;
+  }
+  SubscriptionIds ids = (*pool)->subscription_ids();
+  EXPECT_EQ(*ids, (std::vector<std::string>{"b", "d"}));
+  ASSERT_TRUE((*pool)->Unsubscribe(std::vector<std::string>{}).ok());
+}
+
 // Construction clamps and accessors.
 TEST(EnginePoolTest, OptionsClampAndGaugesStartClean) {
   PipelineOptions options;

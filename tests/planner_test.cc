@@ -262,19 +262,24 @@ TEST(PlannerTest, ObservedProfileTakesOverFromAssumed) {
 // shift the ranking, CompactSubscriptions() re-prices and re-routes —
 // even with nothing tombstoned — without changing any answer.
 TEST(PlannerTest, CompactReroutesSlotWhenProfileGrowthFlipsTheChoice) {
-  auto engine = Engine::Create("auto");
+  // Assume documents exactly as deep as the query: three levels.
+  EngineOptions options;
+  options.engine = "auto";
+  options.assumed_profile.max_depth = 3;
+  auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   ASSERT_TRUE((*engine)->Subscribe("s", "/a/b/c").ok());
   auto before = (*engine)->PlanOf("s");
   ASSERT_TRUE(before.ok());
   // Under the assumed profile (shallow documents) the per-level NFA
-  // stack is the cheapest structure for a short child-only path.
+  // stack is the cheapest structure for a short child-only path: 120
+  // predicted bytes against the shared index's 128.
   EXPECT_EQ(before->engine, "nfa");
 
   // A document nesting far past the assumption. The NFA's stack grows
-  // with *document* depth; the frontier table is bounded by the query's
-  // own depth (no descendant axis, so the query never recurses), so
-  // past some depth the ranking flips.
+  // with *document* depth; the shared index's bound does not (a
+  // child-only path's states are each live at one level only), so past
+  // some depth the ranking flips.
   std::string deep = "<a><b><c>";
   for (int i = 0; i < 64; ++i) deep += "<d>";
   for (int i = 0; i < 64; ++i) deep += "</d>";
@@ -295,7 +300,7 @@ TEST(PlannerTest, CompactReroutesSlotWhenProfileGrowthFlipsTheChoice) {
   EXPECT_EQ((*engine)->automaton_rebuilds(), rebuilds + 1);
   auto after = (*engine)->PlanOf("s");
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(after->engine, "frontier");
+  EXPECT_EQ(after->engine, "nfa_index");
 
   // Re-routing changes the memory shape, never the answers.
   auto again = (*engine)->FilterXml(deep);

@@ -438,6 +438,45 @@ TEST(ServerClientTest, StatsReportEngineAndCounters) {
       << *stats;
 }
 
+// STATS says where "auto" put the population: slots_<engine> counts
+// the live evaluation slots per routed engine, one key per registry
+// engine, in serial and pooled modes alike.
+TEST(ServerClientTest, StatsReportSlotsPerRoutedEngine) {
+  for (size_t workers : {size_t{1}, size_t{2}}) {
+    ServerOptions options;
+    options.engine.engine = "auto";
+    options.pipeline_workers = workers;
+    auto server = Server::Start(options);
+    ASSERT_TRUE(server.ok());
+    auto client = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(client.ok());
+    ASSERT_TRUE((*client)->Subscribe("/a/b").ok());         // nfa_index
+    ASSERT_TRUE((*client)->Subscribe("/a/b").ok());         // same slot
+    ASSERT_TRUE((*client)->Subscribe("//a/*/*/*").ok());    // nfa
+    auto predicate = (*client)->Subscribe("/a[b]");         // frontier
+    ASSERT_TRUE(predicate.ok());
+
+    auto stats = (*client)->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats->find("eval_slots=3\n"), std::string::npos) << *stats;
+    EXPECT_NE(stats->find("slots_nfa_index=1\n"), std::string::npos)
+        << workers << "\n" << *stats;
+    EXPECT_NE(stats->find("slots_nfa=1\n"), std::string::npos) << *stats;
+    EXPECT_NE(stats->find("slots_frontier=1\n"), std::string::npos)
+        << *stats;
+    EXPECT_NE(stats->find("slots_lazy_dfa=0\n"), std::string::npos)
+        << *stats;
+    EXPECT_NE(stats->find("slots_naive=0\n"), std::string::npos) << *stats;
+
+    // A tombstoned slot stops counting.
+    ASSERT_TRUE((*client)->Unsubscribe(*predicate).ok());
+    stats = (*client)->Stats();
+    ASSERT_TRUE(stats.ok());
+    EXPECT_NE(stats->find("slots_frontier=0\n"), std::string::npos)
+        << *stats;
+  }
+}
+
 // Backpressure is shedding, not stalling: a subscriber that never
 // reads cannot block the document stream. With a tiny outbox and a
 // shrunken kernel send buffer, pushes to it are dropped and counted;

@@ -396,5 +396,56 @@ TEST(ServerPipelineTest, PublisherDeathMidDocumentLeavesServiceClean) {
   (*server)->Stop();
 }
 
+// A closing connection's subscriptions leave in one pool mutation: a
+// subscriber holding 2,000 of them (duplicates included) disconnects,
+// and the survivors' connection sees none of them in STATS and gets the
+// right DOC_DONE for its next document.
+TEST(ServerPipelineTest, ClosingConnectionDropsAllItsSubscriptions) {
+  ServerOptions options;
+  options.engine.engine = "auto";
+  options.pipeline_workers = PipelineWorkersFromEnv();
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok());
+
+  auto survivor = Client::Connect("127.0.0.1", (*server)->port());
+  ASSERT_TRUE(survivor.ok());
+  auto hit = (*survivor)->Subscribe("/s0/s1", DeliveryMode::kAtEnd);
+  ASSERT_TRUE(hit.ok());
+  auto miss = (*survivor)->Subscribe("//s3", DeliveryMode::kEarliest);
+  ASSERT_TRUE(miss.ok());
+  {
+    auto closing = Client::Connect("127.0.0.1", (*server)->port());
+    ASSERT_TRUE(closing.ok());
+    const std::vector<std::string> queries = GeneratedQueries(500, 2000);
+    for (size_t i = 0; i < 2000; ++i) {
+      ASSERT_TRUE(
+          (*closing)->Subscribe(queries[i % queries.size()], ModeOf(i)).ok());
+    }
+    AwaitStat(survivor->get(), "subscriptions", 2002);
+  }  // the connection closes holding all 2,000
+
+  AwaitStat(survivor->get(), "connections", 1);
+  AwaitStat(survivor->get(), "subscriptions", 2);
+  AwaitStat(survivor->get(), "eval_slots", 2);
+  ASSERT_TRUE((*survivor)->Feed("<s0><s1/><s2/></s0>").ok());
+  auto doc = (*survivor)->FinishDocument();
+  ASSERT_TRUE(doc.ok());
+  ASSERT_TRUE((*survivor)->WaitDocDone(*doc).ok());
+  size_t done = 0;
+  for (const ClientEvent& event : (*survivor)->TakeEvents()) {
+    if (event.kind == ClientEvent::Kind::kMatch) {
+      EXPECT_EQ(event.sub_id, *hit);
+      continue;
+    }
+    ++done;
+    EXPECT_EQ(event.doc, *doc);
+    const std::vector<std::pair<uint32_t, bool>> want = {{*hit, true},
+                                                         {*miss, false}};
+    EXPECT_EQ(event.verdicts, want);
+  }
+  EXPECT_EQ(done, 1u);
+  (*server)->Stop();
+}
+
 }  // namespace
 }  // namespace xpstream

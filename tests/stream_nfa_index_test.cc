@@ -156,5 +156,99 @@ TEST(NfaIndexTest, StatsTrackActiveSets) {
   EXPECT_GE(f.index.stats().table_entries().peak(), 20u);
 }
 
+// The dry-run pricing walk predicts exactly what AddQuery builds: the
+// shape before adding equals the shape after, state for state, and a
+// lone query's shape is the walk against a root-only trie.
+TEST(NfaIndexTest, ShapeWithPredictsAddQuery) {
+  Random rng(77);
+  NfaIndex index;
+  std::vector<std::unique_ptr<Query>> queries;
+  for (const char* text : {"/a/@k", "//a/b", "/a/*/c", "/a/@k/b", "//*"}) {
+    auto q = ParseQuery(text);
+    ASSERT_TRUE(q.ok());
+    queries.push_back(std::move(q).value());
+  }
+  for (size_t i = 0; i < 200; ++i) {
+    auto q = GenerateLinearQuery(&rng, 1 + rng.Uniform(5), 0.3, 0.15, 4);
+    ASSERT_TRUE(q.ok());
+    queries.push_back(std::move(q).value());
+  }
+  for (size_t id = 0; id < queries.size(); ++id) {
+    const Query& query = *queries[id];
+    NfaIndex alone;
+    const NfaIndex::TrieShape lone = NfaIndex::ShapeOf(query);
+    EXPECT_EQ(alone.ShapeWith(query).anchored, lone.anchored);
+    EXPECT_EQ(alone.ShapeWith(query).floating, lone.floating);
+    ASSERT_TRUE(alone.AddQuery(0, query).ok());
+    EXPECT_EQ(alone.NumStates(), lone.states()) << query.ToString();
+
+    const NfaIndex::TrieShape predicted = index.ShapeWith(query);
+    ASSERT_TRUE(index.AddQuery(id, query).ok());
+    EXPECT_EQ(index.Shape().anchored, predicted.anchored) << query.ToString();
+    EXPECT_EQ(index.Shape().floating, predicted.floating) << query.ToString();
+    EXPECT_EQ(index.NumStates(), index.Shape().states());
+    // A path already in the trie adds nothing.
+    EXPECT_EQ(index.ShapeWith(query).states(), index.Shape().states());
+  }
+  // Removal keeps every state.
+  const size_t states = index.NumStates();
+  for (size_t id = 0; id < queries.size(); id += 2) index.RemoveQuery(id);
+  EXPECT_EQ(index.NumStates(), states);
+  EXPECT_EQ(index.Shape().states(), states);
+}
+
+// RemoveQuery erases only the removed id's own acceptance: queries that
+// share its path, its prefix or its accepting state keep matching, and
+// the same path re-added under a new id matches again.
+TEST(NfaIndexTest, RemoveAndReAddSharedPrefixQueries) {
+  IndexFixture f;
+  f.Add("/a/b");     // 0
+  f.Add("/a/b/c");   // 1
+  f.Add("/a/b");     // 2: same accepting state as 0
+  f.Add("//b");      // 3
+  f.Add("//b/c");    // 4
+  const std::string doc = "<a><b><c/></b></a>";
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{true, true, true, true, true}));
+  f.index.RemoveQuery(0);
+  f.index.RemoveQuery(4);
+  EXPECT_EQ(f.index.NumQueries(), 3u);
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, true, true, true, false}));
+  f.index.RemoveQuery(0);  // already removed: a no-op
+  EXPECT_EQ(f.index.NumQueries(), 3u);
+  const size_t states = f.index.NumStates();
+  f.Add("/a/b");    // 5: the removed path, re-added
+  f.Add("//b/c");   // 6
+  EXPECT_EQ(f.index.NumStates(), states);
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, true, true, true, false,
+                                           true, true}));
+  f.index.RemoveQuery(2);
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, true, false, true, false,
+                                           true, true}));
+}
+
+TEST(NfaIndexTest, RemoveAndReAddAttributeTerminalQueries) {
+  IndexFixture f;
+  f.Add("/a/@k");    // 0
+  f.Add("//a/@k");   // 1
+  f.Add("/a/@k");    // 2: same attribute accept as 0
+  f.Add("/a/@j");    // 3: same state, another attribute
+  f.Add("/a/@k/b");  // 4: unsatisfiable, never accepts
+  const std::string doc = "<a k=\"1\" j=\"2\"><b/></a>";
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{true, true, true, true, false}));
+  f.index.RemoveQuery(0);
+  f.index.RemoveQuery(3);
+  f.index.RemoveQuery(4);
+  EXPECT_EQ(f.index.NumQueries(), 2u);
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, true, true, false, false}));
+  f.Add("/a/@j");    // 5
+  f.Add("/a/@k");    // 6
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, true, true, false, false,
+                                           true, true}));
+  f.index.RemoveQuery(1);
+  f.index.RemoveQuery(2);
+  EXPECT_EQ(f.Run(doc), (std::vector<bool>{false, false, false, false, false,
+                                           true, true}));
+}
+
 }  // namespace
 }  // namespace xpstream
